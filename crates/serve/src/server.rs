@@ -443,9 +443,11 @@ fn complete(state: &mut State, key: CanonKey, outcome: Result<RunStats, PointFai
     }
 }
 
+/// Write one event as one whole line in a single `write_all`, then flush.
 fn emit(writer: &mut impl Write, event: &Event) -> io::Result<()> {
-    writer.write_all(render_event(event).as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut line = render_event(event);
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
@@ -524,6 +526,8 @@ fn handle_tcp_client<R: PointRunner + 'static>(
     server: &Server<R>,
     stream: TcpStream,
 ) -> io::Result<()> {
+    // Events are small and latency-bound: send each as soon as it is written.
+    stream.set_nodelay(true)?;
     let client = server.register_client();
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;

@@ -13,6 +13,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use spatial_hints::Scheduler;
@@ -407,6 +408,49 @@ fn concurrent_overlapping_clients_simulate_each_point_exactly_once() {
     for (key, count) in counts.iter() {
         assert_eq!(*count, 1, "point {key} simulated more than once");
     }
+}
+
+/// A cache hit over TCP answers in well under the 40 ms Linux delayed-ACK
+/// minimum, for a client with default socket options (Nagle on) that
+/// writes each request line in one write. A server that splits an event
+/// into two writes, or leaves Nagle on, stalls every request after the
+/// first (which escapes through the kernel's quick-ACK at connection
+/// start) by ~44 ms.
+#[test]
+fn tcp_cache_hits_are_not_stalled_by_nagle_and_delayed_ack() {
+    let matrix = [point(BenchmarkId::Sssp, Scheduler::Hints, 1)];
+    let server = Server::new(DirectRunner, ServeOptions::default()).unwrap();
+    let tcp = TcpServer::spawn("127.0.0.1:0", server).unwrap();
+    let stream = TcpStream::connect(tcp.local_addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let mut submit = |id: &str| -> Duration {
+        let start = Instant::now();
+        writer.write_all(submit_line(id, &matrix, false).as_bytes()).unwrap();
+        loop {
+            line.clear();
+            assert_ne!(reader.read_line(&mut line).unwrap(), 0, "server hung up early");
+            match parse_event(line.trim_end()).unwrap() {
+                Event::RunDone { id: done, failed: 0, .. } if done == id => return start.elapsed(),
+                Event::RunDone { .. } | Event::PointFailed { .. } | Event::Protocol(_) => {
+                    panic!("unexpected event {line}")
+                }
+                _ => {}
+            }
+        }
+    };
+    // The first submission simulates the point; every repeat is a hit.
+    submit("miss");
+    let mut hits: Vec<_> = (0..15).map(|i| submit(&format!("hit{i}"))).collect();
+    hits.sort_unstable();
+    let median = hits[hits.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median cache-hit latency {median:?} (all: {hits:?})"
+    );
+    writer.write_all(b"{\"type\":\"shutdown\"}\n").unwrap();
+    tcp.shutdown();
 }
 
 /// A small deterministic family of points for the canonical-key property:
