@@ -39,6 +39,9 @@ pub struct CacheCounters {
     pub evictions: u64,
     /// Results inserted.
     pub inserts: u64,
+    /// Inserts whose write-through to the disk tier failed. Internal for
+    /// now: no protocol event reports it.
+    pub disk_write_errors: u64,
 }
 
 struct Entry {
@@ -114,8 +117,10 @@ impl ResultCache {
         if let Some(dir) = self.dir.clone() {
             // Disk write errors are deliberately non-fatal: the cache is an
             // accelerator, and a full disk must not fail the simulation
-            // whose result we are storing.
-            let _ = write_entry(&dir, key, &stats);
+            // whose result we are storing. They are counted instead.
+            if write_entry(&dir, key, &stats).is_err() {
+                self.counters.disk_write_errors += 1;
+            }
         }
         self.put_in_memory(key, stats);
     }
@@ -222,6 +227,24 @@ mod tests {
     }
 
     #[test]
+    fn disk_write_failures_are_counted_and_non_fatal() {
+        let dir = temp_dir("write_error");
+        let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap();
+        // Replace the cache directory with a regular file: every write-through
+        // now fails.
+        fs::remove_dir_all(&dir).unwrap();
+        fs::write(&dir, b"not a directory").unwrap();
+        cache.insert(key(1), stats("a"));
+        cache.insert(key(2), stats("b"));
+        let c = cache.counters();
+        assert_eq!((c.inserts, c.disk_write_errors), (2, 2));
+        // The memory tier still serves both results.
+        assert_eq!(cache.lookup(key(1)).unwrap(), (stats("a"), CacheSource::Memory));
+        assert_eq!(cache.lookup(key(2)).unwrap().0, stats("b"));
+        fs::remove_file(&dir).unwrap();
+    }
+
+    #[test]
     fn peek_has_no_side_effects() {
         let mut cache = ResultCache::new(8, None).unwrap();
         cache.insert(key(1), stats("a"));
@@ -237,6 +260,7 @@ mod tests {
         {
             let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap();
             cache.insert(key(7), stats("persisted"));
+            assert_eq!(cache.counters().disk_write_errors, 0);
         }
         // A fresh cache instance (empty memory) finds the entry on disk.
         let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap();

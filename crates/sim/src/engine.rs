@@ -89,6 +89,9 @@ pub struct Engine {
     commit_scratch: Vec<OrderKey>,
     /// Scratch that swaps with the state's wake list while processing it.
     wake_scratch: Vec<TileId>,
+    /// Scratch for dispatch's same-hint check: `(hint hash, key)` of the
+    /// tile's live, hinted running tasks.
+    running_hint_scratch: Vec<(u16, OrderKey)>,
 }
 
 impl Engine {
@@ -122,6 +125,7 @@ impl Engine {
             idle_scratch: Vec::new(),
             commit_scratch: Vec::new(),
             wake_scratch: Vec::new(),
+            running_hint_scratch: Vec::new(),
         }
     }
 
@@ -540,27 +544,37 @@ impl Engine {
     /// Pick the next dispatchable task for `tile` respecting same-hint
     /// serialization: the earliest-key idle task whose hashed hint does not
     /// match an earlier-key task currently running on the tile.
-    fn select_candidate(&self, tile: TileId) -> Option<TaskId> {
+    fn select_candidate(&mut self, tile: TileId) -> Option<TaskId> {
         let serialize = self.mapper.serialize_same_hint();
+        let tasks = &self.state.tasks;
         let tile_state = &self.state.tiles[tile.index()];
+        // The running tasks' hints and keys cannot change during the scan,
+        // so they are read from the arena once, on the first candidate
+        // that needs them, instead of once per idle candidate.
+        let running = &mut self.running_hint_scratch;
+        let mut gathered = false;
         for &(ts, id) in tile_state.idle.iter() {
             // Tasks still in flight to this tile (contention-mode delivery)
             // are not dispatchable yet; a wake is already scheduled for
             // their arrival cycle. Always 0 > now == false under Analytic.
-            if self.state.tasks.ready_at(id) > self.now {
+            if tasks.ready_at(id) > self.now {
                 continue;
             }
             if !serialize {
                 return Some(id);
             }
-            let hash = self.state.tasks.hint_hash(id);
-            let conflicting = hash.is_some()
-                && tile_state.running.iter().any(|&r| {
-                    !self.state.tasks.is_aborted(r)
-                        && self.state.tasks.hint_hash(r) == hash
-                        && self.state.tasks.key(r) < (ts, id)
-                });
-            if !conflicting {
+            let Some(hash) = tasks.hint_hash(id) else {
+                return Some(id);
+            };
+            if !gathered {
+                running.clear();
+                running.extend(tile_state.running.iter().filter_map(|&r| {
+                    let hint = tasks.hint_hash(r).filter(|_| !tasks.is_aborted(r))?;
+                    Some((hint, tasks.key(r)))
+                }));
+                gathered = true;
+            }
+            if !running.iter().any(|&(h, key)| h == hash && key < (ts, id)) {
                 return Some(id);
             }
         }

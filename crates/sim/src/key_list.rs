@@ -9,8 +9,9 @@
 //!
 //! * lookups are a binary search over a contiguous slice;
 //! * removing the minimum — the overwhelmingly common removal, performed by
-//!   every dispatch, commit and refill — just bumps `head` (O(1), with
-//!   amortized compaction);
+//!   every dispatch, commit and refill — is recognised by one comparison
+//!   with the head key, before any binary search, and just bumps `head`
+//!   (O(1), with amortized compaction);
 //! * inserting a key larger than the current maximum — the common insert,
 //!   since task keys mostly arrive in creation order — is a push.
 //!
@@ -107,8 +108,15 @@ impl KeyList {
 
     /// Remove `key`; returns whether it was present.
     pub fn remove(&mut self, key: &OrderKey) -> bool {
-        let Ok(pos) = self.keys[self.head..].binary_search(key) else {
-            return false;
+        // Dispatch and commit nearly always remove the minimum: check it
+        // before paying for a binary search.
+        let pos = if self.first() == Some(key) {
+            0
+        } else {
+            match self.keys[self.head..].binary_search(key) {
+                Ok(pos) => pos,
+                Err(_) => return false,
+            }
         };
         if pos == 0 {
             // Removing the minimum: the dispatch/commit/refill fast path.
@@ -214,6 +222,66 @@ mod tests {
             assert_eq!(list.len(), reference.len());
             assert_eq!(list.first(), reference.first());
             assert_eq!(list.last(), reference.last());
+        }
+        assert!(list.iter().copied().eq(reference.iter().copied()));
+    }
+
+    #[test]
+    fn head_fast_path_then_middle_then_new_head() {
+        let mut list = KeyList::new();
+        for i in 1..=5u64 {
+            list.insert(k(i, i));
+        }
+        assert!(list.remove(&k(1, 1)), "head removal");
+        assert!(list.remove(&k(3, 3)), "middle removal");
+        assert_eq!(list.first(), Some(&k(2, 2)));
+        assert!(list.remove(&k(2, 2)), "removal of the new head");
+        assert_eq!(list.iter().copied().collect::<Vec<_>>(), vec![k(4, 4), k(5, 5)]);
+        assert_eq!(list.len(), 2);
+    }
+
+    #[test]
+    fn removing_an_absent_key_below_the_head_is_a_no_op() {
+        let mut list = KeyList::new();
+        for i in 3..8u64 {
+            list.insert(k(i, i));
+        }
+        assert!(list.remove(&k(3, 3)));
+        let before: Vec<_> = list.iter().copied().collect();
+        // Below the current head, both a vacated key and a never-seen one.
+        assert!(!list.remove(&k(3, 3)));
+        assert!(!list.remove(&k(0, 9)));
+        assert_eq!(list.iter().copied().collect::<Vec<_>>(), before);
+        assert_eq!(list.first(), Some(&k(4, 4)));
+        assert_eq!(list.len(), 4);
+    }
+
+    #[test]
+    fn head_removals_and_compaction_match_btreeset_order() {
+        use std::collections::BTreeSet;
+        let mut list = KeyList::new();
+        let mut reference = BTreeSet::new();
+        for i in 0..200u64 {
+            list.insert(k(i / 3, i));
+            reference.insert(k(i / 3, i));
+        }
+        // Enough head removals to cross the compaction threshold several
+        // times, interleaved with middle removals and inserts.
+        for round in 0..150u64 {
+            let head = *reference.first().expect("non-empty");
+            assert!(list.remove(&head));
+            reference.remove(&head);
+            if round % 7 == 0 {
+                let mid = *reference.iter().nth(reference.len() / 2).expect("non-empty");
+                assert!(list.remove(&mid));
+                reference.remove(&mid);
+            }
+            if round % 5 == 0 {
+                list.insert(k(100 + round, round));
+                reference.insert(k(100 + round, round));
+            }
+            assert_eq!(list.first(), reference.first());
+            assert_eq!(list.len(), reference.len());
         }
         assert!(list.iter().copied().eq(reference.iter().copied()));
     }

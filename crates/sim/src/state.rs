@@ -617,16 +617,22 @@ impl SimState {
         let mut check_cost = 0;
         if let Some(acc) = self.line_table.get(line) {
             self.conflict_checks += 1;
-            let compared = (acc.readers.len() + acc.writers.len()) as u64;
+            // The simulated check compares against every registered entry,
+            // however few of them the host-side scans below visit.
+            let compared = acc.len() as u64;
             check_cost =
                 self.cfg.spec.conflict_check_cost + compared * self.cfg.spec.conflict_compare_cost;
-            for &wk in &acc.writers {
-                if wk.1 != task && wk > my_key {
-                    victims.push(wk.1);
+            // The bounds rule out a later key without a scan, the common
+            // case (see `line_table` for why victim order is unchanged).
+            if acc.has_later_writer(my_key) {
+                for &wk in acc.writers() {
+                    if wk.1 != task && wk > my_key {
+                        victims.push(wk.1);
+                    }
                 }
             }
-            if kind == AccessKind::Write {
-                for &rk in &acc.readers {
+            if kind == AccessKind::Write && acc.has_later_reader(my_key) {
+                for &rk in acc.readers() {
                     if rk.1 != task && rk > my_key && !victims.contains(&rk.1) {
                         victims.push(rk.1);
                     }
@@ -708,16 +714,10 @@ impl SimState {
         let reads = std::mem::take(&mut body.read_set);
         let writes = std::mem::take(&mut body.write_set);
         for &line in &reads {
-            let acc = self.line_table.entry_or_default(line);
-            if !acc.readers.contains(&key) {
-                acc.readers.push(key);
-            }
+            self.line_table.entry_or_default(line).add_reader(key);
         }
         for &line in &writes {
-            let acc = self.line_table.entry_or_default(line);
-            if !acc.writers.contains(&key) {
-                acc.writers.push(key);
-            }
+            self.line_table.entry_or_default(line).add_writer(key);
         }
         let body = self.tasks.body_mut(task);
         body.read_set = reads;
@@ -730,8 +730,7 @@ impl SimState {
         let writes = std::mem::take(&mut body.write_set);
         for &line in reads.iter().chain(writes.iter()) {
             if let Some(acc) = self.line_table.get_mut(line) {
-                acc.readers.retain(|&k| k.1 != task);
-                acc.writers.retain(|&k| k.1 != task);
+                acc.remove_task(task);
                 if acc.is_empty() {
                     self.line_table.remove(line);
                 }
@@ -779,7 +778,10 @@ impl SimState {
             // task wrote.
             for &line in &body.write_set {
                 if let Some(acc) = self.line_table.get(line) {
-                    for &ok in acc.readers.iter().chain(acc.writers.iter()) {
+                    if !acc.has_later_reader(my_key) && !acc.has_later_writer(my_key) {
+                        continue;
+                    }
+                    for &ok in acc.readers().iter().chain(acc.writers()) {
                         if ok.1 != t && ok > my_key {
                             stack.push(ok.1);
                         }
@@ -1004,7 +1006,7 @@ impl SimState {
         // earlier uncommitted reader of anything I wrote.
         for &line in body.read_set.iter().chain(body.write_set.iter()) {
             if let Some(acc) = self.line_table.get(line) {
-                for &wk in &acc.writers {
+                for &wk in acc.writers() {
                     if wk.1 != task && wk < my_key {
                         return false;
                     }
@@ -1013,7 +1015,7 @@ impl SimState {
         }
         for &line in &body.write_set {
             if let Some(acc) = self.line_table.get(line) {
-                for &rk in &acc.readers {
+                for &rk in acc.readers() {
                     if rk.1 != task && rk < my_key {
                         return false;
                     }

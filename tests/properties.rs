@@ -574,18 +574,29 @@ proptest! {
     /// The open-addressed `LineTable` (the speculative line-access table
     /// ported onto `swarm_mem::OpenTable`) is observationally identical to
     /// the former `HashMap` representation under random register /
-    /// unregister / remove interleavings, mirroring exactly how
-    /// `swarm_sim::state` drives it.
+    /// unregister / remove interleavings, driven through the same
+    /// `LineAccessors` methods `swarm_sim::state` uses. After every op, each
+    /// line's cached later-key bounds equal a brute-force maximum over the
+    /// reference lists, and the "is there a later reader/writer than k?"
+    /// answers match a brute-force scan for the op's probe keys.
     #[test]
     fn line_table_matches_hashmap_reference(
-        ops in proptest::collection::vec((0u64..48, 0u64..16, 0u8..8), 1..400),
+        ops in proptest::collection::vec(
+            (0u64..48, 0u64..16, 0u8..8, proptest::collection::vec((0u64..6, 0u64..17), 3)),
+            1..400,
+        ),
     ) {
         use std::collections::HashMap;
         type Key = (u64, TaskId);
         type RefAccessors = (Vec<Key>, Vec<Key>);
+        // A list's bound: its largest key, or `(0, TaskId(0))` when empty.
+        fn brute_max(list: &[Key]) -> Key {
+            list.iter().copied().max().unwrap_or((0, TaskId(0)))
+        }
         let mut table = LineTable::new();
         let mut reference: HashMap<u64, RefAccessors> = HashMap::new();
-        for (step, &(line_raw, task_raw, op)) in ops.iter().enumerate() {
+        for (step, (line_raw, task_raw, op, probes)) in ops.iter().enumerate() {
+            let (line_raw, task_raw) = (*line_raw, *task_raw);
             let line = LineAddr(line_raw);
             let task = TaskId(task_raw);
             // The table stores full commit-order keys; derive a stable ts.
@@ -593,10 +604,7 @@ proptest! {
             match op {
                 // Register a reader (how register_access_sets inserts).
                 0..=2 => {
-                    let acc = table.entry_or_default(line);
-                    if !acc.readers.contains(&key) {
-                        acc.readers.push(key);
-                    }
+                    table.entry_or_default(line).add_reader(key);
                     let entry = reference.entry(line_raw).or_default();
                     if !entry.0.contains(&key) {
                         entry.0.push(key);
@@ -604,10 +612,7 @@ proptest! {
                 }
                 // Register a writer.
                 3..=5 => {
-                    let acc = table.entry_or_default(line);
-                    if !acc.writers.contains(&key) {
-                        acc.writers.push(key);
-                    }
+                    table.entry_or_default(line).add_writer(key);
                     let entry = reference.entry(line_raw).or_default();
                     if !entry.1.contains(&key) {
                         entry.1.push(key);
@@ -617,8 +622,7 @@ proptest! {
                 // unregister_access_sets cleans up).
                 6 => {
                     if let Some(acc) = table.get_mut(line) {
-                        acc.readers.retain(|&k| k.1 != task);
-                        acc.writers.retain(|&k| k.1 != task);
+                        acc.remove_task(task);
                         if acc.is_empty() {
                             table.remove(line);
                         }
@@ -637,10 +641,28 @@ proptest! {
                     reference.remove(&line_raw);
                 }
             }
-            let got = table.get(line).map(|a| (a.readers.clone(), a.writers.clone()));
+            let got = table.get(line).map(|a| (a.readers().to_vec(), a.writers().to_vec()));
             let want = reference.get(&line_raw).cloned();
             prop_assert_eq!(got, want, "accessors of line {} diverged at step {}", line_raw, step);
             prop_assert_eq!(table.len(), reference.len(), "len diverged at step {}", step);
+            for (&l, (readers, writers)) in &reference {
+                let acc = table.get(LineAddr(l)).expect("reference line present in table");
+                prop_assert_eq!(acc.max_reader(), brute_max(readers), "line {} step {}", l, step);
+                prop_assert_eq!(acc.max_writer(), brute_max(writers), "line {} step {}", l, step);
+                for &(ts, id) in probes {
+                    let probe: Key = (ts, TaskId(id));
+                    prop_assert_eq!(
+                        acc.has_later_reader(probe),
+                        readers.iter().any(|&k| k > probe),
+                        "later reader than {:?} on line {} at step {}", probe, l, step
+                    );
+                    prop_assert_eq!(
+                        acc.has_later_writer(probe),
+                        writers.iter().any(|&k| k > probe),
+                        "later writer than {:?} on line {} at step {}", probe, l, step
+                    );
+                }
+            }
         }
     }
 
