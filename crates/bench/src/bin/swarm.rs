@@ -1,17 +1,13 @@
-//! The unified harness binary: every figure and table of the evaluation as
-//! one subcommand each, driven by the [`swarm_bench::registry`].
+//! The harness binary: every figure and table of the evaluation as one
+//! subcommand each, driven by the [`swarm_bench::registry`].
 //!
 //! ```text
 //! swarm list                 # what can I run?
-//! swarm fig2 --scale small   # any figure, same flags as the legacy binary
+//! swarm fig2 --scale small   # any figure, with the shared sweep flags
 //! swarm summary --json
 //! swarm sysconfig
 //! swarm bench --out BENCH_mechanisms.json
 //! ```
-//!
-//! The legacy per-figure binaries (`fig2`, `table2`, ...) still work; they
-//! are two-line shims over the same registry, and their output is
-//! byte-identical to the corresponding `swarm` subcommand.
 
 use swarm_bench::registry;
 

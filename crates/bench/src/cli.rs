@@ -1,5 +1,4 @@
-//! Command-line parsing shared by every harness entry point (the unified
-//! `swarm` binary's subcommands and the legacy per-figure shims).
+//! Command-line parsing shared by the `swarm` binary's figure subcommands.
 //!
 //! Every figure command accepts:
 //!

@@ -1,28 +1,29 @@
-//! Machine-readable snapshot of the `mechanisms` microbenchmarks.
+//! Machine-readable snapshot of the mechanism microbenchmarks: the
+//! harness's only microbenchmark.
 //!
-//! Times the memory-system hot-path mechanisms with the same
-//! calibrate-then-median harness the vendored criterion shim uses, and emits
-//! `BENCH_mechanisms.json` (ns/op per mechanism) so the performance
-//! trajectory of the hot path is tracked in version control, not just in
-//! terminal scrollback.
+//! Times the mechanisms the paper adds to Swarm (hint hashing, Bloom
+//! signatures, the load balancer's tile map) and the memory-system hot path
+//! with a calibrate-then-median loop, and emits `BENCH_mechanisms.json`
+//! (ns/op per mechanism) so the performance trajectory of the hot path is
+//! tracked in version control, not just in terminal scrollback.
 //!
 //! ```text
-//! bench_snapshot [--out PATH] [--test]   # default: BENCH_mechanisms.json
+//! swarm bench [--out PATH] [--test]   # default: BENCH_mechanisms.json
 //! ```
 //!
 //! Most entries are ns/op of one mechanism; the `engine_cycles_per_sec`
 //! entry is whole-engine throughput (simulated cycles per wall-clock
 //! second) on a synthetic chain workload that isolates the engine hot
 //! loop. `--test` is the CI smoke mode: fewer samples, smaller workload,
-//! same output schema.
+//! same output schema, and every body still runs.
 
 use std::time::Instant;
 
-use spatial_hints::Scheduler;
+use spatial_hints::{Scheduler, TileMap};
 use swarm_apps::{AppSpec, BenchmarkId, InputScale};
 use swarm_mem::{AccessKind, CacheModel, LruSet, SimMemory};
 use swarm_sim::{BloomFilter, InitialTask, RoundRobinMapper, Sim, SwarmApp, TaskCtx};
-use swarm_types::{CacheConfig, CoreId, Hint, LineAddr, NocModel};
+use swarm_types::{hash_to_bucket, CacheConfig, CoreId, Hint, LineAddr, NocModel};
 
 use crate::runner::{run_app, RunRequest};
 
@@ -103,21 +104,65 @@ fn engine_loop_run(roots: u64, chain: u64) -> u64 {
     engine.run().expect("engine_loop workload runs").runtime_cycles
 }
 
-/// Run the `bench_snapshot` command with the argument slice that follows the
-/// subcommand name (`swarm bench <args...>`).
-pub fn run(args: &[String]) -> i32 {
-    let mut args = args.iter().cloned();
+/// Flags `swarm bench` accepts (for the did-you-mean hint).
+const BENCH_FLAGS: &[&str] = &["--out", "--test"];
+
+/// Parse `swarm bench`'s flags into (output path, smoke mode).
+fn parse_bench_args(args: &[String]) -> Result<(String, bool), String> {
+    let mut it = args.iter();
     let mut out = String::from("BENCH_mechanisms.json");
     let mut fast = false;
-    while let Some(arg) = args.next() {
+    while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => out = args.next().expect("--out requires a path"),
+            "--out" => out = it.next().cloned().ok_or("--out requires a value")?,
             "--test" => fast = true,
-            other => panic!("unknown argument {other:?} (expected --out PATH or --test)"),
+            other => {
+                let mut msg = format!("unknown flag '{other}'");
+                if let Some(near) = crate::cli::closest_flag(other, BENCH_FLAGS.iter().copied()) {
+                    msg.push_str(&format!(" (did you mean '{near}'?)"));
+                }
+                return Err(msg);
+            }
         }
     }
+    Ok((out, fast))
+}
+
+/// Run the `bench` command with the argument slice that follows the
+/// subcommand name (`swarm bench <args...>`).
+pub fn run(args: &[String]) -> i32 {
+    let (out, fast) = match parse_bench_args(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("swarm bench: {msg}");
+            eprintln!(
+                "usage: swarm bench [--out PATH] [--test]   # default: BENCH_mechanisms.json"
+            );
+            return crate::exit_code::USAGE;
+        }
+    };
     let mut results: Vec<(&str, f64)> = Vec::new();
 
+    {
+        let mut i = 0u64;
+        results.push((
+            "hint_to_tile_hash",
+            time_ns_mode(fast, || {
+                i = i.wrapping_add(1);
+                std::hint::black_box(Hint::value(i).to_tile(64));
+            }),
+        ));
+    }
+    {
+        let mut i = 0u64;
+        results.push((
+            "hint_to_bucket_hash",
+            time_ns_mode(fast, || {
+                i = i.wrapping_add(1);
+                std::hint::black_box(hash_to_bucket(i, 1024));
+            }),
+        ));
+    }
     {
         let mut caches = CacheModel::new(CacheConfig::default(), 64, 4);
         let mut i = 0u64;
@@ -190,6 +235,30 @@ pub fn run(args: &[String]) -> i32 {
             time_ns_mode(fast, || {
                 i = i.wrapping_add(1);
                 filter.insert(LineAddr(i % 4096));
+            }),
+        ));
+    }
+    {
+        let mut filter = BloomFilter::new(2048, 8);
+        for i in 0..64u64 {
+            filter.insert(LineAddr(i));
+        }
+        let mut i = 0u64;
+        results.push((
+            "bloom_check_2kbit_8way",
+            time_ns_mode(fast, || {
+                i = i.wrapping_add(1);
+                std::hint::black_box(filter.maybe_contains(LineAddr(i % 4096)));
+            }),
+        ));
+    }
+    {
+        let weights: Vec<u64> = (0..1024u64).map(|i| (i * 37) % 997).collect();
+        results.push((
+            "tile_map_rebalance_1024_buckets",
+            time_ns_mode(fast, || {
+                let mut map = TileMap::new(1024, 64);
+                std::hint::black_box(map.rebalance(&weights, 80));
             }),
         ));
     }

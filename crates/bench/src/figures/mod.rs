@@ -4,11 +4,10 @@
 //! taking the argument slice that follows the subcommand name and returning
 //! the process exit code (see [`crate::exit_code`]); the
 //! [`registry`](crate::registry) maps subcommand names to these entry
-//! points, and both the unified `swarm` binary and the legacy per-figure
-//! shim binaries dispatch through it. Keeping the bodies here (instead of
-//! in `src/bin/*.rs`) means the figure logic is ordinary library code:
-//! unit-testable, documented, and free of per-binary argument-plumbing
-//! boilerplate.
+//! points, and the `swarm` binary dispatches through it. Keeping the bodies
+//! here (instead of in `src/bin/swarm.rs`) means the figure logic is
+//! ordinary library code: unit-testable, documented, and free of
+//! argument-plumbing boilerplate.
 
 use crate::runner::RunError;
 

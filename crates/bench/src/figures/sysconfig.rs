@@ -1,14 +1,19 @@
 //! Table II: configuration of the simulated system (formerly the `table2`
 //! binary; renamed so `table2` can report the beyond-Table-I workloads).
 //!
-//! This is the one harness binary that runs no simulations (it only prints
-//! the machine parameters), so it takes no sweep or `--jobs` flags.
+//! This is the one harness command that runs no simulations (it only prints
+//! the machine parameters), so it takes no flags at all: any argument is a
+//! usage error rather than something to ignore silently.
 
 use swarm_types::SystemConfig;
 
 /// Run the `sysconfig` command with the argument slice that follows the
 /// subcommand name (`swarm sysconfig <args...>`).
-pub fn run(_args: &[String]) -> i32 {
+pub fn run(args: &[String]) -> i32 {
+    if let Some(arg) = args.first() {
+        eprintln!("swarm sysconfig: unexpected argument '{arg}' (sysconfig takes no flags)");
+        return crate::exit_code::USAGE;
+    }
     let cfg = SystemConfig::paper_256core();
     println!("Table II: configuration of the {}-core system", cfg.num_cores());
     println!(

@@ -15,10 +15,9 @@
 //! * [`figures`] — the body of every figure/table command, parameterized by
 //!   [`HarnessArgs`] (`--cores`, `--scale`, `--seed`, `--apps`,
 //!   `--schedulers`, `--jobs`, `--on-error`);
-//! * [`registry`] — the name → figure table behind the unified `swarm`
-//!   binary (`swarm list`, `swarm fig2 ...`) and the legacy per-figure shim
-//!   binaries (see `REPRODUCING.md` in the repository root for the full
-//!   index).
+//! * [`registry`] — the name → figure table behind the `swarm` binary
+//!   (`swarm list`, `swarm fig2 ...`; see `REPRODUCING.md` in the
+//!   repository root for the full index).
 //!
 //! Failure handling: every point runs through [`runner::run_point_result`],
 //! which converts panics and typed simulator errors into [`RunError`]
@@ -36,8 +35,7 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 
-/// Process exit codes shared by the `swarm` subcommands and the legacy shim
-/// binaries.
+/// Process exit codes shared by the `swarm` subcommands.
 pub mod exit_code {
     /// Everything ran and validated.
     pub const OK: i32 = 0;

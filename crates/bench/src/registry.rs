@@ -1,10 +1,8 @@
 //! The figure registry: one table mapping subcommand names to the figure
 //! entry points in [`crate::figures`].
 //!
-//! The unified `swarm` binary dispatches subcommands through
-//! [`find`]/[`REGISTRY`], and each legacy per-figure binary is a two-line
-//! shim over [`run_shim`] — so adding a figure means adding one module and
-//! one table row, not a new binary with its own argument plumbing.
+//! The `swarm` binary dispatches subcommands through [`find`]/[`REGISTRY`],
+//! so adding a figure means adding one module and one table row.
 
 use crate::figures;
 
@@ -12,10 +10,8 @@ use crate::figures;
 pub struct FigureSpec {
     /// Subcommand name (`swarm <name> ...`).
     pub name: &'static str,
-    /// Alternative names accepted by [`find`] — in particular the legacy
-    /// standalone binary's name when it differs from the subcommand
-    /// (`ablation_lb`, `bench_snapshot`), so [`run_shim`] and older
-    /// command lines keep resolving.
+    /// Alternative names accepted by [`find`]: the underscored spellings
+    /// (`ablation_lb`, `bench_snapshot`) that older command lines use.
     pub aliases: &'static [&'static str],
     /// One-line description shown by `swarm list`.
     pub about: &'static str,
@@ -147,31 +143,13 @@ pub fn find(name: &str) -> Option<&'static FigureSpec> {
     REGISTRY.iter().find(|spec| spec.name == name || spec.aliases.contains(&name))
 }
 
-/// Entry point for the legacy shim binaries: forward the process arguments
-/// to the registered command `name` and exit with its code when nonzero.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry (a shim referencing a retired
-/// command is a bug, not a user error).
-pub fn run_shim(name: &str) {
-    let spec = find(name).unwrap_or_else(|| panic!("no registered command named '{name}'"));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = (spec.run)(&args);
-    if code != crate::exit_code::OK {
-        std::process::exit(code);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn every_name_and_alias_is_reachable() {
-        // The shim binaries call run_shim with their legacy names, which
-        // are either the subcommand name itself or one of its aliases; all
-        // of them must resolve to the same spec.
+        // Every alias must resolve to the spec that declares it.
         for spec in REGISTRY {
             assert!(find(spec.name).is_some(), "{} not found", spec.name);
             for alias in spec.aliases {
@@ -194,37 +172,38 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_all_fifteen_legacy_binaries() {
-        // Every legacy binary name (the files in src/bin/) must resolve,
-        // whether it is a canonical subcommand name or an alias.
-        let legacy = [
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig10",
-            "fig11",
-            "table1",
-            "table2",
-            "sysconfig",
-            "summary",
-            "ablation_lb",
-            "bench_snapshot",
+    fn registry_lists_every_command_and_alias() {
+        // Pins the command surface: every name and alias below must
+        // resolve to its canonical command, and nothing else is registered.
+        let expected: [(&str, &[&str]); 19] = [
+            ("fig2", &[]),
+            ("fig3", &[]),
+            ("fig4", &[]),
+            ("fig5", &[]),
+            ("fig6", &[]),
+            ("fig7", &[]),
+            ("fig8", &[]),
+            ("fig10", &[]),
+            ("fig11", &[]),
+            ("table1", &[]),
+            ("table2", &[]),
+            ("sysconfig", &[]),
+            ("summary", &[]),
+            ("ablation-lb", &["ablation_lb"]),
+            ("bench", &["bench_snapshot"]),
+            ("chaos", &[]),
+            ("noc-profile", &["noc_profile"]),
+            ("serve", &[]),
+            ("bench-serve", &["bench_serve"]),
         ];
-        assert_eq!(legacy.len(), 15);
-        for name in legacy {
-            assert!(find(name).is_some(), "{name} missing from the registry");
+        assert_eq!(REGISTRY.len(), expected.len());
+        for (name, aliases) in expected {
+            let spec = find(name).unwrap_or_else(|| panic!("{name} missing from the registry"));
+            assert_eq!(spec.name, name);
+            assert_eq!(spec.aliases, aliases, "aliases of {name}");
+            for alias in aliases {
+                assert_eq!(find(alias).unwrap().name, name);
+            }
         }
-        // The registry carries the fifteen legacy commands plus `chaos`,
-        // `noc-profile`, `serve`, and `bench-serve` (which never had
-        // standalone binaries).
-        assert_eq!(REGISTRY.len(), 19);
-        assert!(find("chaos").is_some());
-        assert_eq!(find("noc_profile").unwrap().name, "noc-profile");
-        assert!(find("serve").is_some());
-        assert_eq!(find("bench_serve").unwrap().name, "bench-serve");
     }
 }

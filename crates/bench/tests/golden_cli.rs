@@ -1,13 +1,14 @@
-//! Golden-output test: every `swarm <figure>` subcommand must be
-//! byte-identical to the legacy standalone binary it subsumed, at the same
-//! flags. This pins the shim/registry redesign to the old binaries' exact
-//! output — the same property the release pipeline checks at `--scale
-//! small` against the pinned PR 4 outputs, kept fast here by running at
-//! `--scale tiny` with trimmed app sets.
+//! Golden-output tests: every deterministic `swarm <figure>` subcommand
+//! must print exactly the bytes committed under `tests/golden/`. Those
+//! files were recorded from the former standalone per-figure binaries
+//! (`fig2`, `table2`, ...) while `swarm` was proven byte-identical to them,
+//! so these pins carry that identity forward after the binaries' removal.
+//! They run at `--scale tiny` with trimmed app sets to stay fast.
 //!
 //! `bench` (the old `bench_snapshot`) is deliberately absent: it measures
 //! wall-clock times, so its output is legitimately nondeterministic.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 /// Run one harness binary with `args` and return its stdout, asserting a
@@ -23,21 +24,22 @@ fn stdout_of(bin: &str, args: &[&str]) -> Vec<u8> {
     stdout
 }
 
-/// Assert `swarm <subcommand> <args...>` and `<legacy binary> <args...>`
-/// print identical bytes.
-fn assert_identical(swarm_bin: &str, legacy_bin: &str, subcommand: &str, args: &[&str]) {
+/// Assert `swarm <subcommand> <args...>` prints exactly the bytes of
+/// `tests/golden/<golden>.txt`.
+fn assert_golden(golden: &str, subcommand: &str, args: &[&str]) {
     let mut swarm_args = vec![subcommand];
     swarm_args.extend_from_slice(args);
-    let via_swarm = stdout_of(swarm_bin, &swarm_args);
-    let via_legacy = stdout_of(legacy_bin, args);
+    let actual = stdout_of(env!("CARGO_BIN_EXE_swarm"), &swarm_args);
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{golden}.txt"));
+    let expected =
+        std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
     assert!(
-        via_swarm == via_legacy,
-        "`swarm {subcommand} {args:?}` differs from the legacy `{legacy_bin}`:\n\
-         --- swarm ---\n{}\n--- legacy ---\n{}",
-        String::from_utf8_lossy(&via_swarm),
-        String::from_utf8_lossy(&via_legacy),
+        actual == expected,
+        "`swarm {subcommand} {args:?}` differs from {}:\n--- actual ---\n{}",
+        path.display(),
+        String::from_utf8_lossy(&actual),
     );
-    assert!(!via_swarm.is_empty(), "{subcommand} printed nothing");
 }
 
 /// Fast sweep flags: tiny inputs, two core counts, a 2-worker pool (the
@@ -46,12 +48,12 @@ fn assert_identical(swarm_bin: &str, legacy_bin: &str, subcommand: &str, args: &
 const SWEEP: &[&str] = &["--scale", "tiny", "--cores", "1,8", "--jobs", "2"];
 
 macro_rules! golden {
-    ($test:ident, $name:literal, $legacy_env:literal, extra: $extra:expr) => {
+    ($test:ident, $golden:literal, $name:literal, extra: $extra:expr) => {
         #[test]
         fn $test() {
             let mut args: Vec<&str> = SWEEP.to_vec();
             args.extend_from_slice($extra);
-            assert_identical(env!("CARGO_BIN_EXE_swarm"), env!($legacy_env), $name, &args);
+            assert_golden($golden, $name, &args);
         }
     };
 }
@@ -59,45 +61,30 @@ macro_rules! golden {
 // The two-app subsets keep the tiny sweeps fast while still covering the
 // multi-app chunking logic of each figure; fine-grain figures pick apps
 // that have fine-grain variants.
-golden!(fig2_matches_legacy, "fig2", "CARGO_BIN_EXE_fig2", extra: &[]);
-golden!(fig3_matches_legacy, "fig3", "CARGO_BIN_EXE_fig3", extra: &["--apps", "des,sssp"]);
-golden!(fig4_matches_legacy, "fig4", "CARGO_BIN_EXE_fig4", extra: &["--apps", "des,sssp"]);
-golden!(fig5_matches_legacy, "fig5", "CARGO_BIN_EXE_fig5", extra: &["--apps", "des,sssp"]);
-golden!(fig6_matches_legacy, "fig6", "CARGO_BIN_EXE_fig6", extra: &["--apps", "sssp,astar"]);
-golden!(fig7_matches_legacy, "fig7", "CARGO_BIN_EXE_fig7", extra: &["--apps", "sssp,astar"]);
-golden!(fig8_matches_legacy, "fig8", "CARGO_BIN_EXE_fig8", extra: &["--apps", "sssp,astar"]);
-golden!(fig10_matches_legacy, "fig10", "CARGO_BIN_EXE_fig10", extra: &["--apps", "des,sssp"]);
-golden!(fig11_matches_legacy, "fig11", "CARGO_BIN_EXE_fig11", extra: &["--apps", "des,kmeans"]);
-golden!(table1_matches_legacy, "table1", "CARGO_BIN_EXE_table1", extra: &["--apps", "des,sssp"]);
-golden!(table2_matches_legacy, "table2", "CARGO_BIN_EXE_table2", extra: &[]);
-golden!(
-    ablation_lb_matches_legacy,
-    "ablation-lb",
-    "CARGO_BIN_EXE_ablation_lb",
-    extra: &["--apps", "des,kmeans"]
-);
-golden!(
-    summary_matches_legacy,
-    "summary",
-    "CARGO_BIN_EXE_summary",
-    extra: &["--apps", "des,sssp"]
-);
+golden!(fig2_matches_legacy, "fig2", "fig2", extra: &[]);
+golden!(fig3_matches_legacy, "fig3", "fig3", extra: &["--apps", "des,sssp"]);
+golden!(fig4_matches_legacy, "fig4", "fig4", extra: &["--apps", "des,sssp"]);
+golden!(fig5_matches_legacy, "fig5", "fig5", extra: &["--apps", "des,sssp"]);
+golden!(fig6_matches_legacy, "fig6", "fig6", extra: &["--apps", "sssp,astar"]);
+golden!(fig7_matches_legacy, "fig7", "fig7", extra: &["--apps", "sssp,astar"]);
+golden!(fig8_matches_legacy, "fig8", "fig8", extra: &["--apps", "sssp,astar"]);
+golden!(fig10_matches_legacy, "fig10", "fig10", extra: &["--apps", "des,sssp"]);
+golden!(fig11_matches_legacy, "fig11", "fig11", extra: &["--apps", "des,kmeans"]);
+golden!(table1_matches_legacy, "table1", "table1", extra: &["--apps", "des,sssp"]);
+golden!(table2_matches_legacy, "table2", "table2", extra: &[]);
+golden!(ablation_lb_matches_legacy, "ablation-lb", "ablation-lb", extra: &["--apps", "des,kmeans"]);
+golden!(summary_matches_legacy, "summary", "summary", extra: &["--apps", "des,sssp"]);
 golden!(
     summary_json_matches_legacy,
+    "summary-json",
     "summary",
-    "CARGO_BIN_EXE_summary",
     extra: &["--apps", "des,sssp", "--json"]
 );
 
 #[test]
 fn sysconfig_matches_legacy() {
     // No sweep flags: sysconfig runs no simulations.
-    assert_identical(
-        env!("CARGO_BIN_EXE_swarm"),
-        env!("CARGO_BIN_EXE_sysconfig"),
-        "sysconfig",
-        &[],
-    );
+    assert_golden("sysconfig", "sysconfig", &[]);
 }
 
 #[test]

@@ -50,6 +50,12 @@ fn malformed_invocations_exit_2_with_a_diagnostic() {
         // `bench-serve` routes through the shared strict parser.
         (&["bench-serve", "--clients"], "--clients requires a value"),
         (&["bench-serve", "--cleints", "2"], "did you mean '--clients'"),
+        // `bench` used to panic (exit 101) on a bad or valueless flag.
+        (&["bench", "--bogus"], "--bogus"),
+        (&["bench", "--out"], "--out requires a value"),
+        (&["bench", "--tset"], "did you mean '--test'"),
+        // `sysconfig` takes no flags; it used to ignore them and exit 0.
+        (&["sysconfig", "--bogus"], "--bogus"),
     ];
     for (args, needle) in cases {
         let (code, _, stderr) = swarm(args);
