@@ -29,7 +29,8 @@ fn print_usage() {
     println!("                        failure policy: stop promptly (default), run");
     println!("                        everything and print n/a cells, or retry");
     println!();
-    println!("exit codes: 0 ok, 2 usage error, 3 some points failed, 4 chaos violation");
+    println!("exit codes: 0 ok, 2 usage error, 3 some points failed, 4 chaos violation,");
+    println!("            141 stdout closed early (e.g. piped into head)");
     println!();
     println!("commands:");
     print_command_table();
@@ -44,7 +45,29 @@ fn print_command_table() {
     }
 }
 
+/// End the process quietly with [`swarm_bench::exit_code::BROKEN_PIPE`]
+/// when standard output goes away mid-command (`swarm ... | head`). All
+/// output goes through `println!`, which panics on a failed write; this
+/// hook turns exactly that panic into a silent exit and leaves every other
+/// panic to the default hook.
+fn exit_quietly_on_broken_pipe() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(swarm_bench::exit_code::BROKEN_PIPE);
+        }
+        default_hook(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None | Some("--help") | Some("-h") | Some("help") => print_usage(),

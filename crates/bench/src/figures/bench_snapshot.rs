@@ -176,6 +176,25 @@ pub fn run(args: &[String]) -> i32 {
         ));
     }
     {
+        // A des gate body's shape: five accesses per (core, line), three
+        // reads then two writes. The first read and the first write take
+        // the full path (a read leaves the line shared, so the first write
+        // must claim it); the other three repeat the line and take the
+        // repeated-line fast path.
+        let mut caches = CacheModel::new(CacheConfig::default(), 64, 4);
+        let mut i = 0u64;
+        results.push((
+            "cache_model_repeat_line_64tiles",
+            time_ns_mode(fast, || {
+                i = i.wrapping_add(1);
+                let group = i / 5;
+                let kind = if i % 5 < 3 { AccessKind::Read } else { AccessKind::Write };
+                let core = CoreId((group % 256) as u32);
+                std::hint::black_box(caches.access(core, LineAddr(group % 8192), kind));
+            }),
+        ));
+    }
+    {
         let mut lru = LruSet::new(4096);
         let mut i = 0u64;
         results.push((

@@ -47,6 +47,10 @@ pub mod exit_code {
     /// The chaos battery found a contract violation (a fault made a run
     /// hang, panic, or go nondeterministic instead of failing typed).
     pub const CHAOS: i32 = 4;
+    /// Standard output was closed before the command finished printing
+    /// (e.g. `swarm list | head -2`); the process ends quietly with the
+    /// status a shell reports for a program killed by `SIGPIPE` (128 + 13).
+    pub const BROKEN_PIPE: i32 = 141;
 }
 
 pub use cli::{ExtraFlag, HarnessArgs, ListArg, UsageError};

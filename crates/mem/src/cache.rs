@@ -16,6 +16,22 @@
 //! sharer masks are walked with `trailing_zeros`, and invalidation lists are
 //! returned inline ([`TileList`]) — a steady-state access performs no heap
 //! allocation.
+//!
+//! # Repeated-line fast path
+//!
+//! Task bodies touch the same line several times in a row (a gate's input,
+//! output and toggle words share one line), so the model remembers the
+//! previous access as `(core, line, exclusive)`, where `exclusive` means the
+//! access left the directory with `owner == tile` and `sharers == bit(tile)`.
+//! The invariant is that the remembered access is the most recent mutation
+//! of *any* cache state: every other access overwrites the memo and
+//! [`CacheModel::flush_line`] clears it. The line is then MRU in the core's
+//! L1, its tile's L2 and its home L3 slice, so a repeat by the same core
+//! that would leave the directory as it is — a read, or a write to an
+//! `exclusive` line on a mesh of at most 64 tiles (beyond that a write must
+//! still invalidate the tile's alias group, see `LineDir`) — is an L1 hit
+//! that changes nothing but the access and L1-hit counters. It returns that
+//! outcome without probing a set or the directory.
 
 use swarm_types::{CacheConfig, CoreId, LineAddr, TileId};
 
@@ -266,6 +282,9 @@ pub struct CacheModel {
     l2: Vec<LruSet>,
     l3: Vec<LruSet>,
     dir: DirTable,
+    /// The previous access as `(core, line, exclusive)`; see the module docs
+    /// ("Repeated-line fast path") for the invariant.
+    last: Option<(CoreId, LineAddr, bool)>,
     accesses: u64,
     l1_hits: u64,
     l2_hits: u64,
@@ -289,6 +308,7 @@ impl CacheModel {
             l2: (0..num_tiles).map(|_| LruSet::new(cfg.l2_lines.max(1))).collect(),
             l3: (0..num_tiles).map(|_| LruSet::new(cfg.l3_lines_per_tile.max(1))).collect(),
             dir: DirTable::new(),
+            last: None,
             cfg,
             tile_shift: cores_per_tile.is_power_of_two().then(|| cores_per_tile.trailing_zeros()),
             cores_per_tile,
@@ -341,6 +361,20 @@ impl CacheModel {
     /// served from and which tiles were invalidated.
     pub fn access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) -> AccessOutcome {
         self.accesses += 1;
+        if let Some((last_core, last_line, exclusive)) = self.last {
+            if last_core == core
+                && last_line == line
+                && (kind == AccessKind::Read || (exclusive && self.num_tiles <= 64))
+            {
+                self.l1_hits += 1;
+                return AccessOutcome {
+                    level: HitLevel::L1,
+                    base_latency: self.cfg.l1_latency,
+                    invalidated: TileList::new(),
+                    remote: false,
+                };
+            }
+        }
         let tile = self.tile_of(core);
         let key = line.0;
 
@@ -446,6 +480,8 @@ impl CacheModel {
             }
         }
         dir.in_l3 = true;
+        let exclusive = dir.owner == Some(tile) && dir.sharers == Self::sharer_bit(tile);
+        self.last = Some((core, line, exclusive));
         self.l3[home.index()].insert(key);
         // The local L1 and L2 were already probed-and-filled above; the only
         // leftover fill is the L2 refresh on an L1 hit, which the combined
@@ -460,6 +496,7 @@ impl CacheModel {
     /// Drop a line from every cache and the directory. Used when the
     /// simulator wants to model explicit flushes in tests.
     pub fn flush_line(&mut self, line: LineAddr) {
+        self.last = None;
         let key = line.0;
         for l1 in &mut self.l1 {
             l1.remove(key);

@@ -102,6 +102,9 @@ impl<'a> TaskCtx<'a> {
     /// them once the outcome is integrated.
     pub(crate) fn new(state: &'a mut SimState, task: TaskId, core: CoreId, ts: Timestamp) -> Self {
         let base = state.cfg.spec.task_base_cost + state.cfg.spec.task_mgmt_cost;
+        // A new body must not reuse a conflict check made against an older
+        // line table (see `SimState::access_line`).
+        state.access_memo = None;
         let read_lines = std::mem::take(&mut state.ctx_read_buf);
         let write_lines = std::mem::take(&mut state.ctx_write_buf);
         let undo = std::mem::take(&mut state.ctx_undo);

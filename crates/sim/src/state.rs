@@ -107,8 +107,12 @@ pub struct SimState {
     pub remaining_tasks: u64,
     /// Conflict checks performed.
     pub conflict_checks: u64,
-    /// Conflicts that only a Bloom false positive would have flagged.
-    pub bloom_false_positives: u64,
+    /// The running body's previous conflict check, as `(task, line, wrote,
+    /// cost)`, kept only if it found no victims: see
+    /// [`SimState::access_line`] for when a repeat may reuse it. `cost` is
+    /// `None` when the line was not registered (no check was counted).
+    /// [`crate::TaskCtx`] clears it when a body starts.
+    pub(crate) access_memo: Option<(TaskId, LineAddr, bool, Option<u64>)>,
     /// Whether to record per-task access traces for committed tasks.
     pub profiling: bool,
     /// The event fan-out point: the built-in statistics observer plus any
@@ -188,7 +192,7 @@ impl SimState {
             cores: vec![CoreState::Idle { since: 0 }; num_cores],
             remaining_tasks: 0,
             conflict_checks: 0,
-            bloom_false_positives: 0,
+            access_memo: None,
             profiling: false,
             observers: ObserverHub::new(num_tiles),
             wake_tiles: Vec::new(),
@@ -556,12 +560,15 @@ impl SimState {
     // ------------------------------------------------------------------
     // Memory accesses with eager conflict detection
     // ------------------------------------------------------------------
+    //
+    // Only [`crate::TaskCtx`] calls these: the conflict memo of
+    // `access_line` is valid within the one body execution a context runs.
 
     /// Perform a speculative read of the word at `addr` on behalf of `task`
     /// running on `core`, `elapsed` cycles into the task's execution (so
     /// contention-mode messages enter the network at the right virtual
     /// time). Returns `(value, latency_cycles)`.
-    pub fn speculative_read(
+    pub(crate) fn speculative_read(
         &mut self,
         task: TaskId,
         core: CoreId,
@@ -577,7 +584,7 @@ impl SimState {
     /// cycles. The previous value is recorded in the task's undo log by the
     /// caller (the task context owns the log until the execution is
     /// integrated).
-    pub fn speculative_write(
+    pub(crate) fn speculative_write(
         &mut self,
         task: TaskId,
         core: CoreId,
@@ -595,6 +602,19 @@ impl SimState {
     /// [`NocModel::Contention`] the access's off-tile messages enter the
     /// network at `now_cycle + elapsed` and any queueing delay on the data
     /// transfer is added to the returned latency.
+    ///
+    /// # Repeat-access memo
+    ///
+    /// A task body runs atomically, and only an abort changes the line
+    /// table while it runs. So when the body's previous access found no
+    /// victims, the line table is exactly as that check saw it, and a repeat
+    /// access by the same task to the same line that checks nothing the
+    /// previous check did not — a read, or any access after a write (a write
+    /// scans the later readers as well as the later writers) — would find no
+    /// victims either. It reuses the memo: it charges the same check cost
+    /// and counts a check when the line was registered, without probing the
+    /// table or scanning its entries. The memo is dropped whenever an access
+    /// finds victims and when a new body starts ([`crate::TaskCtx`]).
     fn access_line(
         &mut self,
         task: TaskId,
@@ -604,51 +624,18 @@ impl SimState {
         elapsed: u64,
     ) -> u64 {
         let line = LineAddr::containing(addr);
-        let my_key = self.tasks.key(task);
         let tile = self.tile_of_core(core);
-
-        // Eager conflict detection: any uncommitted, later-key task that has
-        // accessed this line in a conflicting way must abort (its accesses
-        // would otherwise appear out of timestamp order). The victim list is
-        // a persistent scratch buffer: conflicts are frequent under
-        // contention and a fresh Vec per access was measurable.
-        let mut victims = std::mem::take(&mut self.scratch_victims);
-        debug_assert!(victims.is_empty());
-        let mut check_cost = 0;
-        if let Some(acc) = self.line_table.get(line) {
-            self.conflict_checks += 1;
-            // The simulated check compares against every registered entry,
-            // however few of them the host-side scans below visit.
-            let compared = acc.len() as u64;
-            check_cost =
-                self.cfg.spec.conflict_check_cost + compared * self.cfg.spec.conflict_compare_cost;
-            // The bounds rule out a later key without a scan, the common
-            // case (see `line_table` for why victim order is unchanged).
-            if acc.has_later_writer(my_key) {
-                for &wk in acc.writers() {
-                    if wk.1 != task && wk > my_key {
-                        victims.push(wk.1);
-                    }
-                }
+        let check_cost = match self.access_memo {
+            Some((t, l, wrote, cost))
+                if t == task && l == line && (wrote || kind == AccessKind::Read) =>
+            {
+                cost.map_or(0, |cost| {
+                    self.conflict_checks += 1;
+                    cost
+                })
             }
-            if kind == AccessKind::Write && acc.has_later_reader(my_key) {
-                for &rk in acc.readers() {
-                    if rk.1 != task && rk > my_key && !victims.contains(&rk.1) {
-                        victims.push(rk.1);
-                    }
-                }
-            }
-        }
-        for &v in &victims {
-            // The victim may already have been aborted transitively.
-            if !self.tasks.key_is_live_for_abort(v) {
-                continue;
-            }
-            self.abort_task(v, tile);
-        }
-        victims.clear();
-        self.scratch_victims = victims;
-
+            _ => self.check_conflicts(task, line, kind, tile),
+        };
         // Charge the cache/NoC cost of the access itself.
         let outcome = self.caches.access(core, line, kind);
         let mut latency = outcome.base_latency + check_cost;
@@ -701,6 +688,64 @@ impl SimState {
             self.send_message(TrafficClass::Memory, tile, *inv, hops, control_flits, at);
         }
         latency
+    }
+
+    /// The full conflict check of [`SimState::access_line`]: probe the line
+    /// table, abort every conflicting later-key task, update the memo, and
+    /// return the simulated check cost.
+    fn check_conflicts(
+        &mut self,
+        task: TaskId,
+        line: LineAddr,
+        kind: AccessKind,
+        tile: TileId,
+    ) -> u64 {
+        let my_key = self.tasks.key(task);
+        // Eager conflict detection: any uncommitted, later-key task that has
+        // accessed this line in a conflicting way must abort (its accesses
+        // would otherwise appear out of timestamp order). The victim list is
+        // a persistent scratch buffer: conflicts are frequent under
+        // contention and a fresh Vec per access was measurable.
+        let mut victims = std::mem::take(&mut self.scratch_victims);
+        debug_assert!(victims.is_empty());
+        let mut check_cost = None;
+        if let Some(acc) = self.line_table.get(line) {
+            self.conflict_checks += 1;
+            // The simulated check compares against every registered entry,
+            // however few of them the host-side scans below visit.
+            let compared = acc.len() as u64;
+            check_cost = Some(
+                self.cfg.spec.conflict_check_cost + compared * self.cfg.spec.conflict_compare_cost,
+            );
+            // The bounds rule out a later key without a scan, the common
+            // case (see `line_table` for why victim order is unchanged).
+            if acc.has_later_writer(my_key) {
+                for &wk in acc.writers() {
+                    if wk.1 != task && wk > my_key {
+                        victims.push(wk.1);
+                    }
+                }
+            }
+            if kind == AccessKind::Write && acc.has_later_reader(my_key) {
+                for &rk in acc.readers() {
+                    if rk.1 != task && rk > my_key && !victims.contains(&rk.1) {
+                        victims.push(rk.1);
+                    }
+                }
+            }
+        }
+        self.access_memo =
+            victims.is_empty().then_some((task, line, kind == AccessKind::Write, check_cost));
+        for &v in &victims {
+            // The victim may already have been aborted transitively.
+            if !self.tasks.key_is_live_for_abort(v) {
+                continue;
+            }
+            self.abort_task(v, tile);
+        }
+        victims.clear();
+        self.scratch_victims = victims;
+        check_cost.unwrap_or(0)
     }
 
     /// Register a completed execution's read/write sets in the line table so

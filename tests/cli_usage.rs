@@ -4,9 +4,10 @@
 //! Each case here pins a historical silent failure: `--scale full` used to
 //! run at Small while claiming a full-scale invocation, unknown `--flags`
 //! and unparsable `--schedulers`/`--apps` lists were dropped without a
-//! word, and a trailing flag with no value was ignored outright.
+//! word, and a trailing flag with no value was ignored outright. A closed
+//! stdout (`swarm ... | head`) used to end in a panic backtrace.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Run `swarm <args...>` and return (exit code, stdout, stderr).
 fn swarm(args: &[&str]) -> (i32, String, String) {
@@ -93,4 +94,28 @@ fn command_help_exits_zero_with_usage() {
     let (code, stdout, _) = swarm(&["fig2", "--help"]);
     assert_eq!(code, 0);
     assert!(stdout.contains("--scale"), "help text lists the shared flags:\n{stdout}");
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly_with_exit_141() {
+    for args in [&["sysconfig", "--help"][..], &["--help"], &["list"]] {
+        let mut child = Command::new(env!("CARGO"))
+            .args(["run", "--quiet", "--bin", "swarm", "--"])
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the swarm binary starts");
+        // Close the read end at once, long before `cargo run` has started
+        // swarm, so its first write finds no reader.
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("swarm exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(141), "swarm {args:?}, stderr:\n{stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+            "swarm {args:?} must end quietly, stderr:\n{stderr}"
+        );
+    }
 }
